@@ -2,18 +2,18 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path loadbench/Cargo.toml -- \
-//!     --workload online-ml2 --seed 1 --seconds 20 --trace 0
+//!     --workload online-ml2 --seed 1 --seconds 28 --trace 0
 //! ```
 //!
 //! With `--trace 0` the run sets the stack up several times (reporting
-//! the median set-up time), offers the workload's nominal rate for half
-//! of `--seconds`, then bisects a fixed rate ladder above it for the
-//! highest rate that meets the latency limit, and finally replays a
-//! sample of the jobs it received through the widget with the server
-//! idle. With `--trace 1` it offers the nominal rate twice — through the
-//! stock routers, then through the traced ones — and reports the
-//! per-layer figures. The last line of standard output is the result as
-//! one JSON object; the line before it is the run's context.
+//! the median set-up time), warms up, offers the workload's nominal rate
+//! for half of `--seconds`, replays a sample of the jobs it received
+//! through the widget with the server idle, then bisects a fixed rate
+//! ladder for the highest rate that meets the latency limit. With
+//! `--trace 1` it offers the nominal rate twice — through the stock
+//! routers, then through the traced ones — and reports the per-layer
+//! figures. The last line of standard output is the result as one JSON
+//! object; the line before it is the run's context.
 
 use hyrec_client::Widget;
 use hyrec_loadbench::cpu::{self, CpuSplit};
@@ -131,7 +131,7 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args {
         workload: workload.ok_or("--workload is required")?,
         seed: seed.ok_or("--seed is required")?,
-        seconds: seconds.unwrap_or(20.0),
+        seconds: seconds.unwrap_or(28.0),
         trace: trace.unwrap_or(false),
     })
 }
@@ -303,19 +303,14 @@ impl Phase {
                 .is_some_and(|p99| p99 <= NEAR_MISS * LIMIT_MS)
     }
 
-    /// Median over one-second windows (merged until each holds enough
-    /// samples to resolve it) of each window's p99, ms: one burst of
-    /// background load then spoils one window, not the run's figure.
+    /// Median over windows (merged until each holds enough samples to
+    /// resolve it) of each window's p99, ms: one burst of background load
+    /// then spoils one window, not the rung's figure.
     fn windowed_p99_ms(&self, kinds: &[Kind], window: Duration) -> Option<f64> {
-        stats::median(&self.window_p99s_ms(kinds, window))
+        stats::median(&self.window_quantiles_ms(kinds, window, 0.99))
     }
 
-    /// Each window's p99, ms (see [`Phase::windowed_p99_ms`]).
-    fn window_p99s_ms(&self, kinds: &[Kind], window: Duration) -> Vec<f64> {
-        self.window_quantiles_ms(kinds, window, 0.99)
-    }
-
-    /// Each window's `q` quantile, ms.
+    /// Each window's `q` quantile, ms (see [`stats::window_percentiles`]).
     fn window_quantiles_ms(&self, kinds: &[Kind], window: Duration, q: f64) -> Vec<f64> {
         let samples: Vec<(u64, u64)> = self
             .recs
@@ -555,11 +550,11 @@ fn plain_run(
     ctx.phase("nominal", &phase);
     ctx.field(
         "online_window_p99_ms",
-        json_list(&phase.window_p99s_ms(&[Kind::Online], WINDOW)),
+        json_list(&phase.window_quantiles_ms(&[Kind::Online], WINDOW, 0.99)),
     );
     ctx.field(
         "write_window_p99_ms",
-        json_list(&phase.window_p99s_ms(&[Kind::Rate, Kind::Neighbors], WINDOW)),
+        json_list(&phase.window_quantiles_ms(&[Kind::Rate, Kind::Neighbors], WINDOW, 0.99)),
     );
     ctx.field(
         "online_window_p50_ms",

@@ -101,19 +101,10 @@ pub fn median(values: &[f64]) -> Option<f64> {
 }
 
 /// Splits `(at_ns, value)` samples into consecutive windows of `window_ns`
-/// by `at_ns` and returns the median over windows of each window's `q`
-/// percentile. A window holding too few samples to resolve `q` (see
-/// [`tail_ok`]) grows into the next one, and a short remainder at the end
-/// joins the last window, so every window's percentile rests on enough
-/// samples. A single burst of background load then spoils one window's
-/// figure instead of the whole run's.
-#[must_use]
-pub fn windowed_percentile(samples: &[(u64, u64)], window_ns: u64, q: f64) -> Option<f64> {
-    median(&window_percentiles(samples, window_ns, q))
-}
-
-/// The per-window `q` percentiles behind [`windowed_percentile`], in
-/// window order.
+/// by `at_ns` and returns each window's `q` percentile, in window order. A
+/// window holding too few samples to resolve `q` (see [`tail_ok`]) grows
+/// into the next one, and a short remainder at the end joins the last
+/// window, so every window's percentile rests on enough samples.
 #[must_use]
 pub fn window_percentiles(samples: &[(u64, u64)], window_ns: u64, q: f64) -> Vec<f64> {
     let mut ordered = samples.to_vec();

@@ -2,9 +2,13 @@
 
 use hyrec_loadbench::cpu::{self, CpuSplit, MIN_TICKS};
 use hyrec_loadbench::stats::{
-    latency_ns, lateness_ns, median, nearest_rank, percentile, tail_ok, windowed_percentile,
-    Summary,
+    latency_ns, lateness_ns, median, nearest_rank, percentile, tail_ok, window_percentiles, Summary,
 };
+
+/// Median over windows of each window's `q` percentile.
+fn windowed_percentile(samples: &[(u64, u64)], window_ns: u64, q: f64) -> Option<f64> {
+    median(&window_percentiles(samples, window_ns, q))
+}
 
 #[test]
 fn nearest_rank_percentiles() {
