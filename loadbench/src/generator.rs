@@ -19,6 +19,7 @@
 //! thread, and its own CPU time, so the server's share can be separated.
 
 use crate::cpu;
+use crate::inflate;
 use crate::schedule::{self, Arrival, Chain};
 use hyrec_client::Widget;
 use hyrec_http::Response;
@@ -113,11 +114,11 @@ pub struct GenConfig {
     pub scheduled: bool,
     /// Whether replay chains run the browser (decode, widget, post the
     /// update). Without it every browser leaves after `/online/`, and the
-    /// job only gets the framing check (or, when kept, the full check
-    /// after the load).
+    /// job only gets the check every job gets under load (or, when kept,
+    /// the full check after the load).
     pub browsers: bool,
     /// Keep the `/online/` body of every arrival whose index is a multiple
-    /// of this.
+    /// of this (set so that the kept bodies span the phase).
     pub sample_every: u64,
     /// At most this many kept bodies.
     pub sample_cap: usize,
@@ -181,9 +182,7 @@ struct Browser {
 impl Browser {
     fn work(&mut self, task: Task) -> Done {
         let start = since(self.origin);
-        let requested = match task.arrival.chain {
-            Chain::Online { uid } | Chain::Vote { uid, .. } | Chain::Probe { uid, .. } => uid,
-        };
+        let requested = requested(&task.arrival);
         let mut update = None;
         let verdict = PersonalizationJob::decode(&task.body)
             .map_err(|e| format!("job does not decode: {e}"))
@@ -455,8 +454,14 @@ impl<'a> Io<'a> {
             arrival,
         };
         if self.conns[conn].stream.is_none() {
-            self.record(&pending, None, 0, 0, Outcome::Failed);
-            return;
+            match connect(self.config.addr) {
+                Ok(stream) => self.conns[conn].stream = Some(stream),
+                Err(err) => {
+                    self.result.fail(format!("connect: {err}"));
+                    self.record(&pending, None, 0, 0, Outcome::Failed);
+                    return;
+                }
+            }
         }
         self.conns[conn].out.extend_from_slice(request);
         self.conns[conn].inflight.push_back(pending);
@@ -488,6 +493,7 @@ impl<'a> Io<'a> {
         self.result.fail(why);
         self.conns[index].stream = None;
         self.conns[index].out.clear();
+        self.conns[index].inbuf.clear();
         while let Some(pending) = self.conns[index].inflight.pop_front() {
             self.record(&pending, None, 0, 0, Outcome::Failed);
         }
@@ -558,15 +564,22 @@ impl<'a> Io<'a> {
                 Err(err) => return self.break_conn(index, format!("bad response: {err}")),
             }
         }
-        self.conns[index].inbuf.drain(..consumed);
+        let conn = &mut self.conns[index];
+        conn.inbuf.drain(..consumed);
         if !open {
-            self.break_conn(index, "server closed the connection".to_owned());
+            if conn.inflight.is_empty() && conn.out.is_empty() && conn.inbuf.is_empty() {
+                // The server closed a keep-alive connection that sat idle;
+                // the next send reconnects.
+                conn.stream = None;
+            } else {
+                self.break_conn(index, "server closed the connection".to_owned());
+            }
         }
     }
 
     fn on_response(&mut self, pending: &Pending, response: &Response, done: u64) {
         let verdict = match pending.kind {
-            Kind::Online => check_job_framing(response),
+            Kind::Online => check_job(response, requested(&pending.arrival), self.config.scheduled),
             Kind::Rate => check_rate(response),
             Kind::Neighbors => check_completion(response, self.config.scheduled),
         };
@@ -609,7 +622,7 @@ impl<'a> Io<'a> {
                     .index
                     .is_multiple_of(self.config.sample_every.max(1));
                 // A replay chain's job goes to the browser; any other job
-                // is decoded only when kept (after the load).
+                // is decoded in full only when kept (after the load).
                 if self.config.browsers && matches!(chain, Chain::Vote { .. }) {
                     self.hand_over(Task {
                         arrival: pending.arrival,
@@ -619,8 +632,7 @@ impl<'a> Io<'a> {
                     });
                     return;
                 }
-                let (Chain::Online { uid } | Chain::Probe { uid, .. } | Chain::Vote { uid, .. }) =
-                    chain;
+                let uid = requested(&pending.arrival);
                 self.result.touched.push(uid);
                 if sampled && self.result.samples.len() < self.config.sample_cap {
                     self.result.samples.push(Sample {
@@ -695,15 +707,49 @@ impl<'a> Io<'a> {
 fn first_kind(arrival: &Arrival) -> Kind {
     match arrival.chain {
         Chain::Online { .. } => Kind::Online,
-        Chain::Probe { .. } | Chain::Vote { .. } => Kind::Rate,
+        Chain::Vote { .. } => Kind::Rate,
     }
 }
 
-/// The cheap check every `/online/` answer gets under load: a `200`
-/// carrying one complete gzip member (magic, deflate method, trailer).
-/// Full decoding happens on the browser side, or for kept samples after
-/// the load.
-fn check_job_framing(response: &Response) -> Result<Outcome, String> {
+/// The user an arrival asks a job for.
+fn requested(arrival: &Arrival) -> u32 {
+    match arrival.chain {
+        Chain::Online { uid } | Chain::Vote { uid, .. } => uid,
+    }
+}
+
+/// The `uid` a gzipped job is for, read from the start of its JSON
+/// (`{"uid":<uid>,…`, the wire shape's first field) without inflating
+/// the rest.
+///
+/// # Errors
+///
+/// Describes a body that does not inflate or does not open with a uid.
+pub fn job_uid(body: &[u8]) -> Result<u32, String> {
+    const HEAD: &[u8] = b"{\"uid\":";
+    // The head, up to ten digits and the comma after them.
+    let text = inflate::gzip_prefix(body, HEAD.len() + 11)?;
+    let rest = text
+        .strip_prefix(HEAD)
+        .ok_or("job does not open with its uid")?;
+    let end = rest
+        .iter()
+        .position(|b| !b.is_ascii_digit())
+        .filter(|&end| end > 0 && rest[end] == b',')
+        .ok_or("job uid is not a number")?;
+    std::str::from_utf8(&rest[..end])
+        .ok()
+        .and_then(|digits| digits.parse().ok())
+        .ok_or_else(|| "job uid is not a u32".to_owned())
+}
+
+/// The check every `/online/` answer gets under load: a `200` carrying a
+/// gzip member (magic, deflate method, non-empty trailer) whose inflated
+/// start names the job's uid — on the plain router, the uid requested.
+/// The full `PersonalizationJob::decode` runs on the browser side, or for
+/// kept bodies after the load: it costs more than the server spends on
+/// the job.
+fn check_job(response: &Response, requested: u32, scheduled: bool) -> Result<Outcome, String> {
     if response.status != 200 {
         return Err("online: non-200".to_owned());
     }
@@ -717,6 +763,10 @@ fn check_job_framing(response: &Response) -> Result<Outcome, String> {
     let isize = u32::from_le_bytes(body[body.len() - 4..].try_into().expect("4-byte trailer"));
     if isize == 0 {
         return Err("online: gzip member inflates to nothing".to_owned());
+    }
+    let uid = job_uid(body).map_err(|e| format!("online: {e}"))?;
+    if !scheduled && uid != requested {
+        return Err(format!("online: job for uid {requested} answers uid {uid}"));
     }
     Ok(Outcome::Ok)
 }

@@ -7,6 +7,7 @@
 
 pub mod cpu;
 pub mod generator;
+pub mod inflate;
 pub mod schedule;
 pub mod stack;
 pub mod stats;

@@ -19,7 +19,7 @@ use hyrec_client::Widget;
 use hyrec_loadbench::cpu::{self, CpuSplit};
 use hyrec_loadbench::generator::{self, GenConfig, Kind, Outcome, Rec, Sample};
 use hyrec_loadbench::schedule::{self, Arrival};
-use hyrec_loadbench::stack::{self, Stack, Workload};
+use hyrec_loadbench::stack::{Stack, Workload};
 use hyrec_loadbench::stats::{self, Summary};
 use hyrec_loadbench::traced::{self, Layer, Span, Tracer};
 use hyrec_wire::PersonalizationJob;
@@ -60,7 +60,7 @@ const NEAR_MISS: f64 = 3.0;
 /// phase, and on each ladder rung.
 const WARMUP_SHARE: f64 = 0.1;
 const NOMINAL_SHARE: f64 = 0.5;
-const RUNG_SHARE: f64 = 0.0625;
+const RUNG_SHARE: f64 = 0.05;
 /// How long responses may trail the last due send before they count as
 /// lost (a rung that lags by more has failed anyway).
 const DRAIN: Duration = Duration::from_secs(5);
@@ -75,12 +75,11 @@ const WINDOW: Duration = Duration::from_secs(1);
 const RUNG_WINDOW: Duration = Duration::from_millis(250);
 /// Lanes connect this long before the first due send.
 const START_DELAY: Duration = Duration::from_millis(20);
-/// Keep every n-th arrival's job body for the widget replay.
-const SAMPLE_EVERY: u64 = 8;
-/// At most this many bodies kept by each generator thread.
-const SAMPLE_CAP: usize = 60;
-/// Passes of the traced run's widget replay over the kept bodies (the
-/// untraced run makes one after the nominal phase and one per rung).
+/// Job bodies kept per phase for the full decode check and the widget
+/// replay: every arrival at a fixed stride, so they span the phase.
+const SAMPLES: usize = 120;
+/// Passes of the widget replay over the kept bodies; each job's time is
+/// its best over the passes.
 const REPLAY_PASSES: usize = 3;
 /// Largest allowed gap between the sampler + encoder span medians and the
 /// `/online/` handler span median (the stages must add up).
@@ -405,10 +404,9 @@ impl Driver {
         } else {
             schedule::read_mix(
                 &mut self.rng,
-                &self.stack.liked,
+                &self.stack.liked_by,
                 rps,
                 duration_ns,
-                stack::RELIKE_SHARE,
                 self.next_index,
             )
         };
@@ -422,8 +420,8 @@ impl Driver {
             drain,
             scheduled: workload.scheduled(),
             browsers,
-            sample_every: SAMPLE_EVERY,
-            sample_cap: SAMPLE_CAP,
+            sample_every: (plan.len() / SAMPLES).max(1) as u64,
+            sample_cap: SAMPLES,
         };
         let (batches, batched) = (front.stats.batches(), front.stats.batched_requests());
         let process_start = cpu::process_ticks()?;
@@ -564,10 +562,11 @@ fn plain_run(
     // browsers leave unanswered and whose top rungs overload the server.
     let view_similarity = driver.stack.view_similarity(&phase.touched);
     ctx.field("touched_users", phase.touched.len().to_string());
+    let peak_rss_mb = cpu::peak_rss_mb()?;
     let mut browser = BrowserReplay::new(&phase.samples, workload.scheduled())?;
     ctx.field("widget_samples", browser.samples().to_string());
-    browser.pass();
-    let peak_rss_mb = cpu::peak_rss_mb()?;
+    browser.run();
+    let widget = browser.finish();
 
     // Bisect the rung ladder for the highest rate meeting the limit. A
     // rung that narrowly fails is tried once more before it counts as
@@ -594,8 +593,6 @@ fn plain_run(
         for _ in 0..2 {
             let probe = driver.phase(rungs[mid], probe_seconds, false, PROBE_DRAIN)?;
             driver.settle();
-            // Replay passes spread over the run find its quiet moments.
-            browser.pass();
             probe_attempted += probe.recs.len();
             probe_wrong += probe.wrong_answers();
             if probe.wrong_answers() > 0 {
@@ -624,30 +621,43 @@ fn plain_run(
         "max_rung_rps",
         json_number(lo.map_or(rungs[0] / LADDER_STEP, |l| rungs[l])),
     );
-    let widget = browser.finish();
 
     let online = phase
         .summary(&[Kind::Online])
         .ok_or("nominal phase answered no /online/ request")?;
-    let writes = phase
-        .summary(&[Kind::Rate, Kind::Neighbors])
-        .ok_or("nominal phase answered no write")?;
-    problems.extend(check_tails(&[("online", online.n), ("write", writes.n)]));
+    // Only the replay loop writes; the read mix sends `/online/` alone.
+    let writes = if workload.replays() {
+        Some(
+            phase
+                .summary(&[Kind::Rate, Kind::Neighbors])
+                .ok_or("nominal phase answered no write")?,
+        )
+    } else {
+        None
+    };
+    problems.extend(check_tails(&[("online", online.n)]));
+    if let Some(writes) = &writes {
+        problems.extend(check_tails(&[("write", writes.n)]));
+    }
     problems.extend(warmup.failures.iter().cloned());
     problems.extend(phase.failures.iter().cloned());
     problems.extend(widget.problems.iter().cloned());
     let cpu_us = phase.cpu.server_us_per_request(phase.completed() as u64)?;
     ctx.field("server_cpu_ticks", phase.cpu.server().to_string());
 
-    // Wall-clock figures under load: reported, not gated. On a shared
-    // host they follow the machine's background load (CPU time the
-    // hypervisor takes away) further than any bound allows.
-    let ungated = vec![
+    // Reported, not gated. Wall-clock figures under load follow the shared
+    // host's background load (CPU time the hypervisor takes away) further
+    // than any bound allows; the widget's time swings between two levels
+    // from one process to the next (see the README).
+    let mut ungated = vec![
+        ("widget_ms", widget.total_ms_p50, "ms"),
         ("max_rps", max_rps, "req/s"),
         ("online_p50_ms", online.p50_ms, "ms"),
         ("online_p99_ms", online.p99_ms, "ms"),
-        ("write_p99_ms", writes.p99_ms, "ms"),
     ];
+    if let Some(writes) = writes {
+        ungated.push(("write_p99_ms", writes.p99_ms, "ms"));
+    }
     let metrics = vec![
         ("setup_s", stats::median(setup_s).unwrap_or(0.0), "s"),
         ("cpu_us_per_req", cpu_us, "us"),
@@ -657,7 +667,6 @@ fn plain_run(
             "ratio",
         ),
         ("job_kb", phase.job_kb(), "KB"),
-        ("widget_ms", widget.total_ms_p50, "ms"),
         ("view_similarity", view_similarity, "ratio"),
         ("peak_rss_mb", peak_rss_mb, "MB"),
     ];
@@ -700,9 +709,7 @@ fn traced_run(driver: &mut Driver, args: &Args, ctx: &mut Context) -> Result<Rep
     let spans = tracer.take_spans();
     let rids = tracer.take_rids();
     let mut browser = BrowserReplay::new(&phase.samples, workload.scheduled())?;
-    for _ in 0..REPLAY_PASSES {
-        browser.pass();
-    }
+    browser.run();
     let widget = browser.finish();
     let invalid = validity(&plain).or_else(|| validity(&phase));
 
@@ -1042,9 +1049,9 @@ struct WidgetTimes {
 }
 
 /// Replays kept jobs through the steps of `Widget::run_encoded_job`
-/// (decode, kernel, encode the update), timed apart. Each step's time per
-/// job is its best over all passes; passes spread over the run shrug off
-/// the moments another process held the core.
+/// (decode, kernel, encode the update), timed apart in the thread's own
+/// CPU time, which leaves out time spent waiting for a core. Each step's
+/// time per job is its best over the passes.
 struct BrowserReplay<'a> {
     widget: Widget,
     valid: Vec<&'a Sample>,
@@ -1081,18 +1088,26 @@ impl<'a> BrowserReplay<'a> {
         self.valid.len()
     }
 
+    /// [`REPLAY_PASSES`] passes, back to back.
+    fn run(&mut self) {
+        for _ in 0..REPLAY_PASSES {
+            self.pass();
+        }
+    }
+
     fn pass(&mut self) {
+        let since = |start: u64| Duration::from_nanos(cpu::thread_cpu_ns() - start);
         for (sample, best) in self.valid.iter().zip(self.best.iter_mut()) {
-            let start = Instant::now();
+            let start = cpu::thread_cpu_ns();
             let job = PersonalizationJob::decode(std::hint::black_box(&sample.body))
                 .expect("kept job decoded when it was checked");
-            let decoded = start.elapsed();
-            let start = Instant::now();
+            let decoded = since(start);
+            let start = cpu::thread_cpu_ns();
             let output = self.widget.run_job(std::hint::black_box(&job));
-            let kernel = start.elapsed();
-            let start = Instant::now();
+            let kernel = since(start);
+            let start = cpu::thread_cpu_ns();
             std::hint::black_box(output.update.encode());
-            let encoded = start.elapsed();
+            let encoded = since(start);
             for (slot, time) in best.iter_mut().zip([decoded, kernel, encoded]) {
                 *slot = (*slot).min(time);
             }

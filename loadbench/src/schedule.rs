@@ -19,15 +19,6 @@ pub enum Chain {
         /// Requesting user.
         uid: u32,
     },
-    /// A repeated like of an item the user already likes: a `GET /rate/`
-    /// that leaves the profile as it is, sampling the write path's latency
-    /// without invalidating cached state.
-    Probe {
-        /// Voting user.
-        uid: u32,
-        /// An item the user already likes.
-        item: u32,
-    },
     /// One interaction of the paper's replay loop: `GET /rate/`, then
     /// `GET /online/`, then the widget, then `POST /neighbors/`. An
     /// abandoned interaction stops after `/online/` (the browser left).
@@ -82,34 +73,26 @@ pub fn poisson_times(rng: &mut StdRng, rate: f64, duration_ns: u64) -> Vec<u64> 
 }
 
 /// The read mix: Poisson arrivals at `rate`, each a `/online/` fetch for
-/// the user of a uniformly drawn liked event (so users come in proportion
-/// to their trace activity) or, with probability `probe_share`, a
-/// [`Chain::Probe`] re-vote of that event.
+/// the user of a uniformly drawn liked event, so users come in proportion
+/// to their trace activity.
 #[must_use]
 pub fn read_mix(
     rng: &mut StdRng,
-    liked: &[(u32, u32)],
+    liked_by: &[u32],
     rate: f64,
     duration_ns: u64,
-    probe_share: f64,
     first_index: u64,
 ) -> Vec<Arrival> {
-    assert!(!liked.is_empty(), "read mix needs liked events");
+    assert!(!liked_by.is_empty(), "read mix needs liked events");
     poisson_times(rng, rate, duration_ns)
         .into_iter()
         .zip(first_index..)
-        .map(|(at_ns, index)| {
-            let (uid, item) = liked[rng.gen_range(0..liked.len())];
-            let chain = if rng.gen_bool(probe_share) {
-                Chain::Probe { uid, item }
-            } else {
-                Chain::Online { uid }
-            };
-            Arrival {
-                at_ns,
-                index,
-                chain,
-            }
+        .map(|(at_ns, index)| Arrival {
+            at_ns,
+            index,
+            chain: Chain::Online {
+                uid: liked_by[rng.gen_range(0..liked_by.len())],
+            },
         })
         .collect()
 }
@@ -232,7 +215,6 @@ pub fn first_request(arrival: &Arrival) -> Vec<u8> {
     let rid = rid(arrival.index, 0);
     match arrival.chain {
         Chain::Online { uid } => online_request(uid, rid),
-        Chain::Probe { uid, item } => rate_request(uid, item, true, rid),
         Chain::Vote {
             uid, item, like, ..
         } => rate_request(uid, item, like, rid),

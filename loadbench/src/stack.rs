@@ -46,17 +46,16 @@ pub const K: usize = 10;
 /// sampler.
 pub const TRACE_SEED: u64 = 2014;
 
-/// Share of read-mix arrivals that re-like an item the user already
-/// likes: `/rate/` requests that sample the write path's latency and
-/// change nothing.
-pub const RELIKE_SHARE: f64 = 0.3;
-
 /// Share of trace events preloaded before the replayed window starts.
 pub const PRELOAD_SHARE: f64 = 0.8;
 
 /// Lease timeout of `churn-ml1`'s scheduler, in milliseconds: short enough
-/// that abandoned leases expire, re-issue and fall back within a run.
-pub const LEASE_TIMEOUT_MS: u64 = 250;
+/// that abandoned leases expire, re-issue and fall back within a run, and
+/// longer than any answered job waits for its browser (a run whose jobs
+/// wait 500 ms at p99 is invalid). Only abandoned jobs expire, so the
+/// re-issue and fallback work follows the seeded abandonment, not how
+/// fast the host ran the browsers.
+pub const LEASE_TIMEOUT_MS: u64 = 1000;
 
 /// Interval of the benchmark-owned lease sweep on `churn-ml1`.
 pub const SWEEP_EVERY_MS: u64 = 50;
@@ -191,8 +190,8 @@ pub struct Stack {
     pub encoder: Arc<JobEncoder>,
     /// The lease scheduler's wrapper (`churn-ml1` only).
     pub scheduled: Option<Arc<ScheduledServer>>,
-    /// Liked `(user, item)` events the read mix draws from.
-    pub liked: Vec<(u32, u32)>,
+    /// The user of every liked event: the read mix draws from it.
+    pub liked_by: Vec<u32>,
     /// The chronological window the replay loop consumes.
     pub window: Vec<TraceEvent>,
     /// Events of the window already replayed.
@@ -262,13 +261,13 @@ impl Stack {
         let sweeper = scheduled
             .as_ref()
             .map(|s| Sweeper::spawn(Arc::clone(s), SWEEP_EVERY_MS));
-        let liked = if workload.replays() {
+        let liked_by = if workload.replays() {
             Vec::new()
         } else {
             events
                 .iter()
                 .filter(|e| e.vote == Vote::Like)
-                .map(|e| (e.user.0, e.item.0))
+                .map(|e| e.user.0)
                 .collect()
         };
         Self {
@@ -276,7 +275,7 @@ impl Stack {
             server,
             encoder,
             scheduled,
-            liked,
+            liked_by,
             window: events[preload..].to_vec(),
             cursor: 0,
             sweeper,

@@ -17,7 +17,7 @@ use hyrec_sched::RejectReason;
 use hyrec_server::{HyRecServer, JobEncoder, ScheduledServer};
 use hyrec_wire::{KnnUpdate, PersonalizationJob};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
 /// The layer a span covers.
@@ -81,12 +81,13 @@ pub struct Tracer {
     reuse: Mutex<Reuse>,
 }
 
-/// Candidate profiles seen so far, by `Arc` identity (the `Arc`s are kept
-/// alive so an address is never reused by another profile).
+/// Candidate profiles seen so far, by `Arc` identity. A weak reference
+/// keeps each allocation, so its address is never reused by another
+/// profile, without keeping a replaced profile's contents alive.
 #[derive(Default)]
 struct Reuse {
     seen: FastHashSet<usize>,
-    keep: Vec<Arc<Profile>>,
+    keep: Vec<Weak<Profile>>,
     reused: u64,
     total: u64,
 }
@@ -145,7 +146,7 @@ impl Tracer {
         for candidate in jobs.iter().flat_map(|job| job.candidates.iter()) {
             reuse.total += 1;
             if reuse.seen.insert(Arc::as_ptr(&candidate.profile) as usize) {
-                reuse.keep.push(Arc::clone(&candidate.profile));
+                reuse.keep.push(Arc::downgrade(&candidate.profile));
             } else {
                 reuse.reused += 1;
             }
@@ -185,8 +186,9 @@ struct Layers {
     scheduled: Option<Arc<ScheduledServer>>,
 }
 
-/// A traced handler body: `(layers, handler call, batch, responses)`.
-type Serve = fn(&Layers, u64, &[Request], &mut Vec<Response>);
+/// A traced handler body: `(layers, handler call, batch, responses)`;
+/// returns the jobs it served, if any.
+type Serve = fn(&Layers, u64, &[Request], &mut Vec<Response>) -> Vec<PersonalizationJob>;
 
 /// The traced router over a stack's tables.
 #[must_use]
@@ -217,10 +219,12 @@ pub fn traced_router(stack: &Stack, tracer: &Arc<Tracer>) -> Router {
             move |requests: &[Request], out: &mut Vec<Response>| {
                 let tracer = &layers.tracer;
                 let batch = tracer.open(requests);
-                let ((), span) = tracer.span(layer, batch, requests.len(), || {
-                    serve(&layers, batch, requests, out);
+                let (jobs, span) = tracer.span(layer, batch, requests.len(), || {
+                    serve(&layers, batch, requests, out)
                 });
                 tracer.push(span);
+                // Bookkeeping of the benchmark's own, outside the span.
+                tracer.note_candidates(&jobs);
             },
         );
     }
@@ -255,7 +259,12 @@ fn stock_route(
 }
 
 impl Layers {
-    fn online(&self, batch: u64, requests: &[Request], out: &mut Vec<Response>) {
+    fn online(
+        &self,
+        batch: u64,
+        requests: &[Request],
+        out: &mut Vec<Response>,
+    ) -> Vec<PersonalizationJob> {
         let tracer = &self.tracer;
         let parsed: Vec<Result<UserId, String>> = requests.iter().map(parse_uid).collect();
         let uids: Vec<UserId> = parsed
@@ -277,7 +286,6 @@ impl Layers {
         });
         span.extra = bodies.iter().map(|b| b.len() as u64).sum();
         tracer.push(span);
-        tracer.note_candidates(&jobs);
         let mut bodies = bodies.into_iter();
         out.extend(parsed.into_iter().map(|p| match p {
             Ok(_) => {
@@ -285,9 +293,15 @@ impl Layers {
             }
             Err(reason) => Response::bad_request(&reason),
         }));
+        jobs
     }
 
-    fn rate(&self, batch: u64, requests: &[Request], out: &mut Vec<Response>) {
+    fn rate(
+        &self,
+        batch: u64,
+        requests: &[Request],
+        out: &mut Vec<Response>,
+    ) -> Vec<PersonalizationJob> {
         let parsed: Vec<Result<(UserId, ItemId, Vote), String>> =
             requests.iter().map(parse_rate).collect();
         let votes: Vec<(UserId, ItemId, Vote)> = parsed
@@ -312,9 +326,15 @@ impl Layers {
             }
             Err(reason) => Response::bad_request(&reason),
         }));
+        Vec::new()
     }
 
-    fn neighbors(&self, batch: u64, requests: &[Request], out: &mut Vec<Response>) {
+    fn neighbors(
+        &self,
+        batch: u64,
+        requests: &[Request],
+        out: &mut Vec<Response>,
+    ) -> Vec<PersonalizationJob> {
         let tracer = &self.tracer;
         let decoded: Vec<Result<KnnUpdate, String>> = requests
             .iter()
@@ -340,7 +360,7 @@ impl Layers {
                 Ok(_) => completion_response(outcomes.next().expect("one outcome per update")),
                 Err(reason) => Response::bad_request(&reason),
             }));
-            return;
+            return Vec::new();
         }
         let mut updates = Vec::with_capacity(requests.len());
         out.extend(decoded.into_iter().map(|p| {
@@ -356,6 +376,7 @@ impl Layers {
             self.server.apply_updates(&updates);
         });
         tracer.push(span);
+        Vec::new()
     }
 }
 

@@ -6,8 +6,11 @@ use hyrec_loadbench::schedule::{self, Arrival, Chain, Shape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn liked() -> Vec<(u32, u32)> {
-    (0..500u32).map(|i| (i % 37, i * 3)).collect()
+/// The user of every liked event: user `u` liked `u + 1` items.
+fn liked_by() -> Vec<u32> {
+    (0..40u32)
+        .flat_map(|u| std::iter::repeat_n(u, u as usize + 1))
+        .collect()
 }
 
 fn window() -> Vec<TraceEvent> {
@@ -28,7 +31,7 @@ fn window() -> Vec<TraceEvent> {
 
 fn read_mix(seed: u64) -> Vec<Arrival> {
     let mut rng = StdRng::seed_from_u64(seed);
-    schedule::read_mix(&mut rng, &liked(), 1000.0, 2_000_000_000, 0.1, 0)
+    schedule::read_mix(&mut rng, &liked_by(), 1000.0, 2_000_000_000, 0)
 }
 
 fn replay(seed: u64, shape: Shape) -> Vec<Arrival> {
@@ -69,21 +72,19 @@ fn poisson_rate_and_bounds() {
 }
 
 #[test]
-fn read_mix_draws_probes_at_the_given_share() {
+fn read_mix_fetches_jobs_in_proportion_to_activity() {
     let arrivals = read_mix(3);
-    let probes = arrivals
-        .iter()
-        .filter(|a| matches!(a.chain, Chain::Probe { .. }))
-        .count();
-    let share = probes as f64 / arrivals.len() as f64;
-    assert!((0.07..0.13).contains(&share), "{share}");
-    // Probes re-like a liked item, so they change nothing.
-    let liked = liked();
+    let mut fetches = [0usize; 40];
     for arrival in &arrivals {
-        if let Chain::Probe { uid, item } = arrival.chain {
-            assert!(liked.contains(&(uid, item)));
-        }
+        let Chain::Online { uid } = arrival.chain else {
+            panic!("the read mix only fetches jobs")
+        };
+        fetches[uid as usize] += 1;
     }
+    // User 39 liked 40 items and user 0 one: 820 likes in all.
+    let expected = arrivals.len() as f64 * 40.0 / 820.0;
+    assert!((fetches[39] as f64 - expected).abs() < expected * 0.3);
+    assert!(fetches[0] < fetches[39] / 5);
 }
 
 #[test]
