@@ -17,8 +17,12 @@
 //! widget finished) for a follow-up. The generator also reports how late
 //! it sent against that schedule, how long jobs waited for the compute
 //! thread, and its own CPU time, so the server's share can be separated.
+//!
+//! A third, probe thread sends nothing: every 100 ms it times a fixed
+//! reference kernel (~2 ms of CPU), so server CPU can be read against the
+//! host's speed at the time (see [`cpu::run_probe`]).
 
-use crate::cpu;
+use crate::cpu::{self, CpuMark, ProbeSample};
 use crate::inflate;
 use crate::schedule::{self, Arrival, Chain};
 use hyrec_client::Widget;
@@ -29,7 +33,8 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Which route a request went to.
@@ -124,13 +129,20 @@ pub struct GenConfig {
     pub sample_cap: usize,
 }
 
+/// The I/O thread reads the CPU clocks every this often (see [`CpuMark`]).
+pub const CPU_WINDOW: Duration = Duration::from_secs(1);
+
 /// What one phase's generator measured.
 #[derive(Debug, Default)]
 pub struct GenResult {
     /// Every request sent (and every scheduled one never sent).
     pub recs: Vec<Rec>,
-    /// CPU ticks of the generator's threads.
+    /// CPU ticks of the generator's threads, the probe's included.
     pub cpu_ticks: u64,
+    /// CPU clocks read at each window boundary, and once more at the end.
+    pub cpu_marks: Vec<CpuMark>,
+    /// Timings of the reference kernel.
+    pub probe: Vec<ProbeSample>,
     /// Kept `/online/` bodies.
     pub samples: Vec<Sample>,
     /// Users whose jobs were served or whose votes were recorded.
@@ -223,9 +235,28 @@ fn since(origin: Instant) -> u64 {
 
 /// Runs one phase: sends `arrivals` on their schedule over
 /// `config.conns` connections, follows their chains, checks every
-/// response.
+/// response — while a probe thread times the reference kernel (see
+/// [`cpu::run_probe`]).
 #[must_use]
 pub fn run(config: &GenConfig, arrivals: &[Arrival]) -> GenResult {
+    let probe_cpu = Arc::new(AtomicU64::new(0));
+    let (stop, stopped) = mpsc::channel::<()>();
+    std::thread::scope(|scope| {
+        let published = Arc::clone(&probe_cpu);
+        let probe = scope
+            .spawn(move || cpu::run_probe(config.origin, cpu::PROBE_EVERY, stopped, &published));
+        let mut result = drive(config, arrivals, probe_cpu);
+        drop(stop);
+        let (samples, ticks) = probe.join().expect("probe thread panicked");
+        result.probe = samples;
+        result.cpu_ticks += ticks;
+        result
+    })
+}
+
+/// [`run`] without the probe; `probe_cpu` is the probe thread's published
+/// CPU time, for the window marks.
+fn drive(config: &GenConfig, arrivals: &[Arrival], probe_cpu: Arc<AtomicU64>) -> GenResult {
     let browser = Browser {
         widget: Widget::new(),
         origin: config.origin,
@@ -235,7 +266,7 @@ pub fn run(config: &GenConfig, arrivals: &[Arrival]) -> GenResult {
         sampled: 0,
     };
     if !config.compute_thread {
-        let mut io = Io::new(config, Compute::Inline(browser));
+        let mut io = Io::new(config, Compute::Inline(browser), vec![probe_cpu]);
         io.run(arrivals);
         return io.finish();
     }
@@ -253,13 +284,20 @@ pub fn run(config: &GenConfig, arrivals: &[Arrival]) -> GenResult {
             return result;
         }
     };
+    // The compute thread's CPU time in the phase so far, ns, published
+    // after every job for the I/O thread's window marks.
+    let compute_cpu = Arc::new(AtomicU64::new(0));
+    let published = Arc::clone(&compute_cpu);
     std::thread::scope(|scope| {
         let compute = scope.spawn(move || {
             let start = cpu::thread_ticks().unwrap_or(0);
+            let start_ns = cpu::thread_cpu_ns();
             let mut browser = browser;
             let mut wake_tx = wake_tx;
             for task in task_rx {
-                if done_tx.send(browser.work(task)).is_err() {
+                let done = browser.work(task);
+                published.store(cpu::thread_cpu_ns() - start_ns, Ordering::Relaxed);
+                if done_tx.send(done).is_err() {
                     break;
                 }
                 // A lost wake-up only delays the post until the next poll
@@ -275,6 +313,7 @@ pub fn run(config: &GenConfig, arrivals: &[Arrival]) -> GenResult {
                 done: done_rx,
                 wake: wake_rx,
             },
+            vec![probe_cpu, compute_cpu],
         );
         io.run(arrivals);
         io.close_tasks();
@@ -321,10 +360,17 @@ struct Io<'a> {
     outstanding: usize,
     result: GenResult,
     start_ticks: u64,
+    /// This thread's CPU clock when the phase began, ns.
+    start_cpu_ns: u64,
+    /// CPU time the generator's other threads have used in the phase so
+    /// far, ns, each published by its thread.
+    other_cpu: Vec<Arc<AtomicU64>>,
+    /// When the next CPU mark is due, ns after the origin.
+    next_mark_ns: u64,
 }
 
 impl<'a> Io<'a> {
-    fn new(config: &'a GenConfig, compute: Compute) -> Self {
+    fn new(config: &'a GenConfig, compute: Compute, other_cpu: Vec<Arc<AtomicU64>>) -> Self {
         let mut result = GenResult::default();
         let conns = (0..config.conns.max(1))
             .map(|_| Conn {
@@ -343,7 +389,31 @@ impl<'a> Io<'a> {
             outstanding: 0,
             result,
             start_ticks: cpu::thread_ticks().unwrap_or(0),
+            start_cpu_ns: cpu::thread_cpu_ns(),
+            other_cpu,
+            next_mark_ns: 0,
         }
+    }
+
+    /// Reads the CPU clocks into a [`CpuMark`] when a window boundary
+    /// has passed (or `always`).
+    fn mark_cpu(&mut self, always: bool) {
+        let now = self.now();
+        if now < self.next_mark_ns && !always {
+            return;
+        }
+        let others: u64 = self
+            .other_cpu
+            .iter()
+            .map(|ns| ns.load(Ordering::Relaxed))
+            .sum();
+        self.result.cpu_marks.push(CpuMark {
+            at_ns: now,
+            process_ns: cpu::process_cpu_ns(),
+            generator_ns: cpu::thread_cpu_ns() - self.start_cpu_ns + others,
+        });
+        let window = CPU_WINDOW.as_nanos() as u64;
+        self.next_mark_ns = (now / window + 1) * window;
     }
 
     fn now(&self) -> u64 {
@@ -355,6 +425,7 @@ impl<'a> Io<'a> {
         let deadline = last_due + self.config.drain.as_nanos() as u64;
         let mut next = 0;
         loop {
+            self.mark_cpu(false);
             let now = self.now();
             while next < arrivals.len() && arrivals[next].at_ns <= now {
                 self.send_first(arrivals[next]);
@@ -379,7 +450,10 @@ impl<'a> Io<'a> {
                 ));
                 break;
             }
-            let until = arrivals.get(next).map_or(deadline, |a| a.at_ns);
+            let until = arrivals
+                .get(next)
+                .map_or(deadline, |a| a.at_ns)
+                .min(self.next_mark_ns.max(now));
             let wait = Duration::from_nanos(until.saturating_sub(now).min(20_000_000));
             if let Err(err) = self.wait_ready(wait) {
                 self.result.fail(format!("poll: {err}"));
@@ -389,6 +463,7 @@ impl<'a> Io<'a> {
                 self.read_conn(index);
             }
         }
+        self.mark_cpu(true);
         // Arrivals never sent failed; so did requests left in flight
         // (recorded by `finish`).
         for arrival in &arrivals[next..] {

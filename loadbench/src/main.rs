@@ -2,21 +2,23 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path loadbench/Cargo.toml -- \
-//!     --workload online-ml2 --seed 1 --seconds 28 --trace 0
+//!     --workload online-ml2 --seed 1 --seconds 30 --trace 0
 //! ```
 //!
-//! With `--trace 0` the run sets the stack up several times (reporting
-//! the median set-up time), warms up, offers the workload's nominal rate
-//! for half of `--seconds`, replays a sample of the jobs it received
-//! through the widget with the server idle, then bisects a fixed rate
-//! ladder for the highest rate that meets the latency limit. With
+//! With `--trace 0` the run sets the stack up, warms up, offers the
+//! workload's nominal rate for 70% of `--seconds`, replays a sample of the
+//! jobs it received through the widget with the server idle, bisects a
+//! fixed rate ladder for the highest rate that meets the latency limit,
+//! then sets the stack up a few more times (reporting the median set-up
+//! time). A probe thread times a fixed reference kernel throughout, and
+//! server CPU and set-up time are reported at its reference speed. With
 //! `--trace 1` it offers the nominal rate twice — through the stock
 //! routers, then through the traced ones — and reports the per-layer
 //! figures. The last line of standard output is the result as one JSON
 //! object; the line before it is the run's context.
 
 use hyrec_client::Widget;
-use hyrec_loadbench::cpu::{self, CpuSplit};
+use hyrec_loadbench::cpu::{self, CpuMark, CpuSplit, CpuWindow, ProbeSample};
 use hyrec_loadbench::generator::{self, GenConfig, Kind, Outcome, Rec, Sample};
 use hyrec_loadbench::schedule::{self, Arrival};
 use hyrec_loadbench::stack::{Stack, Workload};
@@ -41,7 +43,8 @@ const LATE_LIMIT_MS: f64 = 50.0;
 /// A run is also invalid when jobs waited this long (p99, ms) for the
 /// browser side: the follow-up requests then left far off schedule.
 const BROWSER_WAIT_LIMIT_MS: f64 = 500.0;
-/// Times the stack is set up per run, at least; `setup_s` is their median.
+/// Times the stack is set up in an untraced run, at least; `setup_s` is
+/// their median, scaled to the reference kernel's speed during them.
 const SETUPS: usize = 3;
 /// Fast set-ups repeat until they have taken this long in all (at most
 /// `SETUPS_MAX` times), so a 0.1 s median rests on enough samples.
@@ -59,8 +62,8 @@ const NEAR_MISS: f64 = 3.0;
 /// Shares of `--seconds` spent on the discarded warm-up, on the nominal
 /// phase, and on each ladder rung.
 const WARMUP_SHARE: f64 = 0.1;
-const NOMINAL_SHARE: f64 = 0.5;
-const RUNG_SHARE: f64 = 0.05;
+const NOMINAL_SHARE: f64 = 0.7;
+const RUNG_SHARE: f64 = 0.03;
 /// How long responses may trail the last due send before they count as
 /// lost (a rung that lags by more has failed anyway).
 const DRAIN: Duration = Duration::from_secs(5);
@@ -73,6 +76,12 @@ const SETTLE_MAX: Duration = Duration::from_secs(5);
 /// rung's.
 const WINDOW: Duration = Duration::from_secs(1);
 const RUNG_WINDOW: Duration = Duration::from_millis(250);
+/// `cpu_us_per_req` is the median over the nominal phase's CPU windows
+/// ([`generator::CPU_WINDOW`]), each scaled to the reference kernel's
+/// speed in it. A window needs this share of the full length and this
+/// many completions to count.
+const CPU_WINDOW_MIN_SHARE: f64 = 0.5;
+const CPU_WINDOW_MIN_REQUESTS: usize = 100;
 /// Lanes connect this long before the first due send.
 const START_DELAY: Duration = Duration::from_millis(20);
 /// Job bodies kept per phase for the full decode check and the widget
@@ -130,7 +139,7 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args {
         workload: workload.ok_or("--workload is required")?,
         seed: seed.ok_or("--seed is required")?,
-        seconds: seconds.unwrap_or(28.0),
+        seconds: seconds.unwrap_or(30.0),
         trace: trace.unwrap_or(false),
     })
 }
@@ -222,6 +231,8 @@ struct Phase {
     seconds: f64,
     recs: Vec<Rec>,
     cpu: CpuSplit,
+    cpu_marks: Vec<CpuMark>,
+    probe: Vec<ProbeSample>,
     samples: Vec<Sample>,
     touched: Vec<u32>,
     compute_wait_ns: Vec<u64>,
@@ -335,6 +346,23 @@ impl Phase {
         Summary::of_ns(self.compute_wait_ns.clone()).map_or(0.0, |s| s.p99_ms)
     }
 
+    /// Server CPU per completed request in each CPU window.
+    fn cpu_windows(&self) -> Vec<CpuWindow> {
+        let completions: Vec<u64> = self
+            .recs
+            .iter()
+            .filter(|r| r.outcome != Outcome::Failed)
+            .filter_map(|r| r.done_ns)
+            .collect();
+        cpu::cpu_windows(
+            &self.cpu_marks,
+            &completions,
+            &self.probe,
+            (generator::CPU_WINDOW.as_nanos() as f64 * CPU_WINDOW_MIN_SHARE) as u64,
+            CPU_WINDOW_MIN_REQUESTS,
+        )
+    }
+
     fn achieved_rps(&self) -> f64 {
         self.completed() as f64 / self.seconds
     }
@@ -439,6 +467,8 @@ impl Driver {
                 process,
                 generator: result.cpu_ticks,
             },
+            cpu_marks: result.cpu_marks,
+            probe: result.probe,
             samples: result.samples,
             touched: result.touched,
             compute_wait_ns: result.compute_wait_ns,
@@ -477,20 +507,12 @@ fn run(args: &Args) -> Result<Report, String> {
     // and, with two cores or more, one browser-side compute thread.
     let conns = nproc.clamp(1, 2);
 
-    let mut setup_s: Vec<f64> = Vec::with_capacity(SETUPS);
-    let mut stack = None;
-    while setup_s.len() < SETUPS
-        || (setup_s.iter().sum::<f64>() < SETUP_BUDGET.as_secs_f64() && setup_s.len() < SETUPS_MAX)
-    {
-        if let Some(old) = stack.take() {
-            Stack::shutdown(old);
-        }
-        let start = Instant::now();
-        stack = Some(Stack::setup(workload, args.seed, nproc));
-        setup_s.push(start.elapsed().as_secs_f64());
-    }
+    // The stack the run drives is the process's first, so its memory
+    // figures are those of one set-up; the other set-ups, timed for
+    // `setup_s`, come after the load.
+    let (stack, first_s, mut kernel_us) = timed_setup(workload, args.seed, nproc);
     let mut driver = Driver {
-        stack: stack.expect("at least one set-up"),
+        stack,
         rng: StdRng::seed_from_u64(args.seed ^ 0x6c6f_6164),
         next_index: 0,
         conns,
@@ -509,20 +531,43 @@ fn run(args: &Args) -> Result<Report, String> {
         (1 + usize::from(nproc > 1)).to_string(),
     );
     ctx.field("reactor_workers", nproc.to_string());
+    ctx.field(
+        "reference_kernel_every_ms",
+        cpu::PROBE_EVERY.as_millis().to_string(),
+    );
     ctx.field("git_sha", format!("\"{}\"", git_sha()));
     ctx.field("nominal_rps", json_number(nominal));
     ctx.field("latency_limit_ms", json_number(LIMIT_MS));
     ctx.field("late_limit_ms", json_number(LATE_LIMIT_MS));
     ctx.field("browser_wait_limit_ms", json_number(BROWSER_WAIT_LIMIT_MS));
-    ctx.field("setup_s_all", json_list(&setup_s));
 
     let outcome = if args.trace {
         traced_run(&mut driver, args, &mut ctx)
     } else {
-        plain_run(&mut driver, args, &mut ctx, &setup_s)
+        plain_run(&mut driver, args, &mut ctx)
     };
     driver.stack.shutdown();
     let mut report = outcome?;
+    if !args.trace {
+        let mut setup_s = vec![first_s];
+        while setup_s.len() < SETUPS
+            || (setup_s.iter().sum::<f64>() < SETUP_BUDGET.as_secs_f64()
+                && setup_s.len() < SETUPS_MAX)
+        {
+            let (stack, seconds, kernel) = timed_setup(workload, args.seed, nproc);
+            stack.shutdown();
+            setup_s.push(seconds);
+            kernel_us.extend(kernel);
+        }
+        let kernel = stats::median(&kernel_us).ok_or("the set-ups outran the probe")?;
+        ctx.field("setup_s_all", json_list(&setup_s));
+        ctx.field("setup_reference_kernel_us", json_number(kernel));
+        let median = stats::median(&setup_s).unwrap_or(0.0);
+        report.metrics.insert(
+            0,
+            ("setup_s", median * cpu::REFERENCE_KERNEL_US / kernel, "s"),
+        );
+    }
     let ungated: Vec<String> = report
         .ungated
         .iter()
@@ -533,13 +578,28 @@ fn run(args: &Args) -> Result<Report, String> {
     Ok(report)
 }
 
-/// The untraced run: every end-to-end metric.
-fn plain_run(
-    driver: &mut Driver,
-    args: &Args,
-    ctx: &mut Context,
-    setup_s: &[f64],
-) -> Result<Report, String> {
+/// Sets the stack up once while the probe times the reference kernel;
+/// returns the stack, the set-up's seconds and the kernel timings, µs.
+fn timed_setup(workload: Workload, seed: u64, nproc: usize) -> (Stack, f64, Vec<f64>) {
+    let (stop, stopped) = std::sync::mpsc::channel::<()>();
+    let published = std::sync::atomic::AtomicU64::new(0);
+    let published = &published;
+    let origin = Instant::now();
+    let (stack, seconds, kernel) = std::thread::scope(|scope| {
+        let probe =
+            scope.spawn(move || cpu::run_probe(origin, cpu::PROBE_EVERY, stopped, published));
+        let stack = Stack::setup(workload, seed, nproc);
+        let seconds = origin.elapsed().as_secs_f64();
+        drop(stop);
+        let (kernel, _) = probe.join().expect("probe thread panicked");
+        (stack, seconds, kernel)
+    });
+    let kernel_us = kernel.iter().map(|k| k.cpu_ns as f64 / 1e3).collect();
+    (stack, seconds, kernel_us)
+}
+
+/// The untraced run: every end-to-end metric except `setup_s`.
+fn plain_run(driver: &mut Driver, args: &Args, ctx: &mut Context) -> Result<Report, String> {
     let workload = driver.stack.workload;
     let nominal = workload.nominal_rps();
     let warmup = driver.phase(nominal, args.seconds * WARMUP_SHARE, true, DRAIN)?;
@@ -642,8 +702,28 @@ fn plain_run(
     problems.extend(warmup.failures.iter().cloned());
     problems.extend(phase.failures.iter().cloned());
     problems.extend(widget.problems.iter().cloned());
-    let cpu_us = phase.cpu.server_us_per_request(phase.completed() as u64)?;
+    // The whole phase's figure must rest on enough clock ticks. The
+    // reported one is the median over its windows, each scaled to the
+    // reference kernel's speed in it: on a shared host the same work takes
+    // more CPU time while other tenants are busy (a busy hyperthread
+    // sibling, a lower clock), and the kernel's time moves with it.
+    let whole_cpu_us = phase.cpu.server_us_per_request(phase.completed() as u64)?;
+    let windows = phase.cpu_windows();
+    let scaled: Vec<f64> = windows
+        .iter()
+        .map(CpuWindow::reference_us_per_request)
+        .collect();
+    let cpu_us = stats::median(&scaled).ok_or("no CPU window held enough requests")?;
+    let raw: Vec<f64> = windows.iter().map(|w| w.us_per_request).collect();
+    let kernel: Vec<f64> = windows.iter().map(|w| w.reference_us).collect();
     ctx.field("server_cpu_ticks", phase.cpu.server().to_string());
+    ctx.field("cpu_us_per_req_whole_phase", json_number(whole_cpu_us));
+    ctx.field("cpu_us_per_req_windows", json_list(&raw));
+    ctx.field("reference_kernel_us_windows", json_list(&kernel));
+    ctx.field(
+        "reference_kernel_us_nominal",
+        json_number(cpu::REFERENCE_KERNEL_US),
+    );
 
     // Reported, not gated. Wall-clock figures under load follow the shared
     // host's background load (CPU time the hypervisor takes away) further
@@ -658,8 +738,8 @@ fn plain_run(
     if let Some(writes) = writes {
         ungated.push(("write_p99_ms", writes.p99_ms, "ms"));
     }
+    // `setup_s` joins these once the run's later set-ups are timed.
     let metrics = vec![
-        ("setup_s", stats::median(setup_s).unwrap_or(0.0), "s"),
         ("cpu_us_per_req", cpu_us, "us"),
         (
             "ok_ratio",

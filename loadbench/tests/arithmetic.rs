@@ -1,6 +1,8 @@
 //! Percentile, lateness and `/proc` CPU-accounting arithmetic.
 
-use hyrec_loadbench::cpu::{self, CpuSplit, MIN_TICKS};
+use hyrec_loadbench::cpu::{
+    self, cpu_windows, CpuMark, CpuSplit, CpuWindow, ProbeSample, MIN_TICKS,
+};
 use hyrec_loadbench::stats::{
     latency_ns, lateness_ns, median, nearest_rank, percentile, tail_ok, window_percentiles, Summary,
 };
@@ -116,6 +118,109 @@ fn server_cpu_is_process_minus_generator() {
     let per_request = split.server_us_per_request(10_000).expect("enough ticks");
     assert!((per_request - 500.0).abs() < 1e-9);
     assert!((split.generator_share() - 200.0 / 700.0).abs() < 1e-12);
+}
+
+#[test]
+fn window_cpu_charges_each_window_its_own_requests() {
+    let mark = |at_ms: u64, process_ms: u64, generator_ms: u64| CpuMark {
+        at_ns: at_ms * 1_000_000,
+        process_ns: process_ms * 1_000_000,
+        generator_ns: generator_ms * 1_000_000,
+    };
+    // Four 1 s windows, then a 200 ms tail.
+    let marks = [
+        mark(0, 0, 0),
+        mark(1000, 600, 100),
+        mark(2000, 1300, 200),
+        mark(3000, 1400, 250),
+        mark(4000, 1900, 300),
+        mark(4200, 2000, 310),
+    ];
+    let at = |ms: u64| ms * 1_000_000;
+    // 1000 completions in the first window, 500 in the second, 10 in the
+    // third, 500 in the fourth, 100 in the tail.
+    let mut completions: Vec<u64> = (0..1000).map(at).collect();
+    completions.extend((0..500).map(|i| at(1000 + 2 * i)));
+    completions.extend((0..10).map(|i| at(2000 + 100 * i)));
+    completions.extend((0..500).map(|i| at(3000 + 2 * i)));
+    completions.extend((0..100).map(|i| at(4000 + i)));
+    completions.reverse();
+    // The kernel took 2 ms in the first window, 1 or 4 ms in the second
+    // (median 2.5), and none ran in the fourth.
+    let probe = |ms: u64, kernel_us: u64| ProbeSample {
+        at_ns: at(ms),
+        cpu_ns: kernel_us * 1000,
+    };
+    let samples = [
+        probe(500, 2000),
+        probe(1100, 1000),
+        probe(1500, 4000),
+        probe(1900, 2500),
+        probe(2500, 2000),
+        probe(4100, 2000),
+    ];
+    let windows = cpu_windows(&marks, &completions, &samples, 500_000_000, 100);
+    // (600 - 100) ms over 1000 requests; (700 - 100) ms over 500. The
+    // third window has too few requests, the fourth no kernel timing, and
+    // the tail is too short.
+    assert_eq!(
+        windows,
+        vec![
+            CpuWindow {
+                us_per_request: 500.0,
+                reference_us: 2000.0,
+            },
+            CpuWindow {
+                us_per_request: 1200.0,
+                reference_us: 2500.0,
+            },
+        ]
+    );
+    // At the reference speed the second window's work costs less.
+    assert_eq!(windows[0].reference_us_per_request(), 500.0);
+    assert_eq!(windows[1].reference_us_per_request(), 960.0);
+    assert!(cpu_windows(&marks[..1], &completions, &samples, 1, 1).is_empty());
+}
+
+#[test]
+fn probe_times_the_kernel_until_stopped() {
+    let (stop, stopped) = std::sync::mpsc::channel::<()>();
+    let published = std::sync::atomic::AtomicU64::new(0);
+    let origin = std::time::Instant::now();
+    let published_ref = &published;
+    let (samples, _ticks) = std::thread::scope(|scope| {
+        let probe = scope.spawn(move || {
+            cpu::run_probe(
+                origin,
+                std::time::Duration::from_millis(5),
+                stopped,
+                published_ref,
+            )
+        });
+        std::thread::sleep(std::time::Duration::from_millis(200));
+        drop(stop);
+        probe.join().expect("probe thread")
+    });
+    assert!(samples.len() >= 3, "only {} timings", samples.len());
+    assert!(samples.windows(2).all(|w| w[0].at_ns < w[1].at_ns));
+    assert!(samples.iter().all(|s| s.cpu_ns > 0));
+    let total: u64 = samples.iter().map(|s| s.cpu_ns).sum();
+    assert!(published.load(std::sync::atomic::Ordering::Relaxed) >= total);
+}
+
+#[test]
+fn cpu_clocks_move_with_work() {
+    let process_before = cpu::process_cpu_ns();
+    let thread_before = cpu::thread_cpu_ns();
+    let start = std::time::Instant::now();
+    let mut x = 0u64;
+    while start.elapsed() < std::time::Duration::from_millis(50) {
+        x = std::hint::black_box(x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1));
+    }
+    let thread = cpu::thread_cpu_ns() - thread_before;
+    let process = cpu::process_cpu_ns() - process_before;
+    assert!(thread >= 10_000_000, "a 50 ms spin showed only {thread} ns");
+    assert!(process >= thread, "process {process} < thread {thread}");
 }
 
 #[test]
